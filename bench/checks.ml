@@ -224,7 +224,7 @@ let check_faults () =
   let plan = (Optimizer.optimize Optimizer.Sja env).Optimized.plan in
   Array.iter Fusion_source.Source.reset_meter instance.Workload.sources;
   let result =
-    Exec.run
+    Runner.run_plan
       ~policy:{ Exec.retries = 500; on_exhausted = `Fail }
       ~sources:instance.Workload.sources ~conds:env.Opt_env.conds plan
   in

@@ -14,10 +14,17 @@ let env_of ?stats (instance : Workload.instance) =
 let trace_dir = Sys.getenv_opt "FUSION_TRACE_DIR"
 let trace_seq = ref 0
 
+(* Sequential execution: compile the plan, run the program's
+   straight-line driver. *)
+let run_plan ?cache ?policy ~sources ~conds plan =
+  match Fusion_plan.Plan_compile.compile ~sources ~conds plan with
+  | Ok program -> Fusion_plan.Plan_compile.run ?cache ?policy program
+  | Error msg -> invalid_arg ("invalid plan: " ^ msg)
+
 let execute (instance : Workload.instance) plan =
   let go () =
     Array.iter Fusion_source.Source.reset_meter instance.Workload.sources;
-    Fusion_plan.Exec.run ~sources:instance.Workload.sources
+    run_plan ~sources:instance.Workload.sources
       ~conds:(Fusion_query.Query.conditions instance.Workload.query)
       plan
   in
@@ -38,7 +45,7 @@ let execute_traced (instance : Workload.instance) plan =
   let result =
     Fusion_obs.Trace.with_collector collector (fun () ->
         Array.iter Fusion_source.Source.reset_meter instance.Workload.sources;
-        Fusion_plan.Exec.run ~sources:instance.Workload.sources
+        run_plan ~sources:instance.Workload.sources
           ~conds:(Fusion_query.Query.conditions instance.Workload.query)
           plan)
   in

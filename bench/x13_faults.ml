@@ -38,7 +38,7 @@ let run_with instance =
   let env = Runner.env_of instance in
   let plan = (Optimizer.optimize Optimizer.Sja env).Optimized.plan in
   Array.iter Source.reset_meter instance.Workload.sources;
-  Exec.run
+  Runner.run_plan
     ~policy:{ Exec.retries = 1000; on_exhausted = `Fail }
     ~sources:instance.Workload.sources
     ~conds:(Fusion_query.Query.conditions instance.Workload.query)
@@ -85,7 +85,7 @@ let run () =
         let plan = (Optimizer.optimize Optimizer.Sja env).Optimized.plan in
         Array.iter Source.reset_meter instance.Workload.sources;
         let result =
-          Exec.run
+          Runner.run_plan
             ~policy:{ Exec.retries = 0; on_exhausted = `Partial }
             ~sources:instance.Workload.sources
             ~conds:(Fusion_query.Query.conditions instance.Workload.query)

@@ -19,6 +19,7 @@
 
 open Fusion_data
 open Fusion_core
+module Item_set_ref = Fusion_oracle.Item_set_ref
 module Workload = Fusion_workload.Workload
 module Mediator = Fusion_mediator.Mediator
 module Serve = Fusion_serve.Server

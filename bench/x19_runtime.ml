@@ -48,7 +48,7 @@ let equivalence () =
         let inst = Workload.generate { Workload.default_spec with Workload.seed } in
         let env, optimized = optimize inst.Workload.sources inst.Workload.query in
         let reference =
-          Exec.run ~sources:inst.Workload.sources ~conds:env.Opt_env.conds
+          Runner.run_plan ~sources:inst.Workload.sources ~conds:env.Opt_env.conds
             optimized.Optimized.plan
         in
         Array.iter Source.reset_meter inst.Workload.sources;

@@ -154,7 +154,7 @@ let run () =
      through the executor re-ships every selection answer. *)
   Array.iter Source.reset_meter instance.Workload.sources;
   let exec =
-    Fusion_plan.Exec.run ~sources:instance.Workload.sources
+    Runner.run_plan ~sources:instance.Workload.sources
       ~conds:(Query.conditions query) plan
   in
   let exec_cost = exec.Fusion_plan.Exec.total_cost in

@@ -3,7 +3,7 @@
    Micro: selection scans and semijoin probes over one relation, three
    engines deep — the compiled column scan (Cond_vec, what sources and
    Plan_compile run), the hoisted row predicate (Cond.compile once,
-   then per-tuple application: the interpreted executor's path), and
+   then per-tuple application: the oracle interpreter's path), and
    the naive per-tuple Cond.eval closure (the pre-hoisting historical
    path). All three must agree on every answer; the recorded claim is
    the tentpole's bar: at cardinality >= 10^4 the compiled scan beats
@@ -14,8 +14,9 @@
    cells are simulation-deterministic: completions, costs, answer
    cardinality — drift here means the data plane changed answers), and
    the steady-state loop the PR is named for: one warm session query
-   re-executed back to back through the interpreted executor and
-   through its compiled form. Answers must stay equal run for run, and
+   re-executed back to back through the test-only interpreter
+   (Fusion_oracle.Exec) and through its compiled form. Answers must
+   stay equal run for run, and
    the compiled loop must allocate <= 10% of the interpreter's minor
    words (it skips env hashing, step lists and per-lookup cache-key
    rendering; the allocation that remains is the answer sets both
@@ -259,7 +260,7 @@ let run_macro () =
   in
   let interp_local () =
     Array.iter Source.reset_meter instance.Workload.sources;
-    (Exec.run ~sources:instance.Workload.sources ~conds local_plan).Exec.answer
+    (Fusion_oracle.Exec.run ~sources:instance.Workload.sources ~conds local_plan).Exec.answer
   in
   let compiled_local () =
     Array.iter Source.reset_meter instance.Workload.sources;
@@ -291,7 +292,7 @@ let run_macro () =
   let ci = Exec.Query_cache.create () and cc = Exec.Query_cache.create () in
   let interp_session () =
     Array.iter Source.reset_meter instance.Workload.sources;
-    (Exec.run ~cache:ci ~sources:instance.Workload.sources ~conds plan).Exec.answer
+    (Fusion_oracle.Exec.run ~cache:ci ~sources:instance.Workload.sources ~conds plan).Exec.answer
   in
   let compiled_session () =
     Array.iter Source.reset_meter instance.Workload.sources;

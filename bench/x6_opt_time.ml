@@ -144,7 +144,7 @@ let bechamel_tests () =
       (Bechamel.Staged.stage (fun () ->
            Array.iter Fusion_source.Source.reset_meter env.Opt_env.sources;
            ignore
-             (Fusion_plan.Exec.run ~sources:env.Opt_env.sources
+             (Runner.run_plan ~sources:env.Opt_env.sources
                 ~conds:env.Opt_env.conds plan)))
   in
   let semijoin_test =

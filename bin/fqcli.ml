@@ -177,15 +177,12 @@ let runtime_arg =
   in
   Arg.(value & opt runtime_conv `Sim & info [ "runtime" ] ~docv:"RT" ~doc)
 
-let compiled_arg =
-  let doc =
-    "Execute through the compiled plan engine: the optimized plan is specialized \
-     once (integer slots, pre-rendered cache keys, persistent columnar scans) and \
-     run as a fused closure chain. Answers and costs are identical to the \
-     interpreter; only per-step interpretation overhead disappears. Sequential \
-     simulator runs only."
-  in
-  Arg.(value & flag & info [ "compiled" ] ~doc)
+(* Sequential execution of an optimizer plan: compile, then run the
+   program's straight-line driver. Optimizer plans always validate. *)
+let run_plan ?cache ~sources ~conds plan =
+  match Fusion_plan.Plan_compile.compile ~sources ~conds plan with
+  | Ok program -> Fusion_plan.Plan_compile.run ?cache program
+  | Error msg -> invalid_arg ("invalid plan: " ^ msg)
 
 (* Least-squares fit of a wall-clock cost profile from the runtime's
    per-request observations: the measured seconds play the role of
@@ -285,7 +282,7 @@ let run_cmd =
     in
     Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
   in
-  let action location sql algo sample hist concurrency runtime compiled plan_file trace
+  let action location sql algo sample hist concurrency runtime plan_file trace
       shards replicas routing hedge verbose =
     setup_logs verbose;
     if shards > 1 || replicas > 1 || hedge <> None then
@@ -314,13 +311,6 @@ let run_cmd =
            Error "--plan executes sequentially and is not available with --runtime domains"
          | _ -> Ok ()
        in
-       let* () =
-         if compiled && concurrency = `Par then
-           Error "--compiled is a sequential engine; drop it or use --concurrency seq"
-         else if compiled && plan_file <> None then
-           Error "--plan pins an external plan text; --compiled compiles the optimizer's"
-         else Ok ()
-       in
        with_mediator location (fun mediator ->
            with_tracing trace (fun () ->
            match plan_file with
@@ -332,7 +322,6 @@ let run_cmd =
                  stats = stats_of_sample sample hist;
                  concurrency;
                  runtime;
-                 exec = (if compiled then `Compiled else `Interp);
                  (* Under --concurrency par the report's queue-wait
                     breakdown needs span data; collect it privately
                     unless --trace already installs a collector. The
@@ -391,12 +380,9 @@ let run_cmd =
              let* plan = Fusion_plan.Plan_text.of_string text in
              let sources = Mediator.sources mediator in
              let conds = Fusion_query.Query.conditions query in
-             let* () =
-               Fusion_plan.Plan.validate ~m:(Array.length conds)
-                 ~n:(Array.length sources) plan
-             in
+             let* program = Fusion_plan.Plan_compile.compile ~sources ~conds plan in
              Array.iter Fusion_source.Source.reset_meter sources;
-             (match Fusion_plan.Exec.run ~sources ~conds plan with
+             (match Fusion_plan.Plan_compile.run program with
              | result ->
                Format.printf "pinned plan executed: cost %.1f, answer (%d items): %a@."
                  result.Fusion_plan.Exec.total_cost
@@ -409,7 +395,7 @@ let run_cmd =
   let doc = "run a fusion query over CSV sources" in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(const action $ location_term $ sql_arg $ algo_arg $ sample_arg $ hist_arg
-          $ concurrency_arg $ runtime_arg $ compiled_arg $ plan_arg $ trace_arg
+          $ concurrency_arg $ runtime_arg $ plan_arg $ trace_arg
           $ shards_arg $ replicas_arg $ routing_arg $ hedge_arg $ verbose_arg)
 
 (* --- explain ------------------------------------------------------------- *)
@@ -482,7 +468,7 @@ let explain_cmd =
            else begin
              Array.iter Fusion_source.Source.reset_meter (Mediator.sources mediator);
              match
-               Fusion_plan.Exec.run
+               run_plan
                  ~sources:(Mediator.sources mediator)
                  ~conds:env.Opt_env.conds optimized.Optimized.plan
              with
@@ -863,7 +849,7 @@ let shell_cmd =
                else begin
                  Array.iter Fusion_source.Source.reset_meter (Mediator.sources mediator);
                  match
-                   Fusion_plan.Exec.run ~cache
+                   run_plan ~cache
                      ~sources:(Mediator.sources mediator)
                      ~conds:env.Opt_env.conds optimized.Optimized.plan
                  with

@@ -67,8 +67,12 @@ let () =
   let optimized = Optimizer.optimize Optimizer.Sja env in
   Array.iter Fusion_source.Source.reset_meter (Mediator.sources mediator);
   let result =
-    Exec.run ~sources:(Mediator.sources mediator) ~conds:env.Opt_env.conds
-      optimized.Optimized.plan
+    match
+      Plan_compile.compile ~sources:(Mediator.sources mediator) ~conds:env.Opt_env.conds
+        optimized.Optimized.plan
+    with
+    | Ok program -> Plan_compile.run program
+    | Error msg -> failwith msg
   in
   let explain =
     Explain.analyze ~model:env.Opt_env.model ~est:env.Opt_env.est

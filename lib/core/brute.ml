@@ -45,9 +45,12 @@ let best_actual (env : Opt_env.t) =
   let reset () = Array.iter Fusion_source.Source.reset_meter env.sources in
   let run_cost (plan, _) =
     reset ();
-    match Exec.run ~sources:env.sources ~conds:env.conds plan with
-    | { Exec.total_cost; _ } -> Some (plan, total_cost)
-    | exception Fusion_source.Source.Unsupported _ -> None
+    match Plan_compile.compile ~sources:env.sources ~conds:env.conds plan with
+    | Error _ -> None
+    | Ok program -> (
+      match Plan_compile.run program with
+      | { Exec.total_cost; _ } -> Some (plan, total_cost)
+      | exception Fusion_source.Source.Unsupported _ -> None)
   in
   let executed = List.filter_map run_cost (enumerate env) in
   reset ();

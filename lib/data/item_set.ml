@@ -15,10 +15,10 @@
    have identical structure and [equal] is a flat comparison.
 
    Observable behavior matches the historical [Set.Make (Value)]
-   implementation (kept as {!Item_set_ref}): [to_list], [iter], [fold]
-   and [pp] enumerate in increasing {!Value.compare} order, and
-   membership follows [Value.equal] equality classes because the intern
-   table does. The one caveat is representatives: where the AVL set kept
+   implementation (kept as the reference in the test-only fusion_oracle
+   library): [to_list], [iter], [fold] and [pp] enumerate in increasing
+   {!Value.compare} order, and membership follows [Value.equal] equality
+   classes because the intern table does. The one caveat is representatives: where the AVL set kept
    the first element *added to that set* of an equality class (e.g.
    [Int 1] vs [Float 1.0]), interning keeps the first spelling the
    *table* ever saw. Schema-typed merge columns never mix spellings, so

@@ -9,9 +9,10 @@
     or as a bitset when the id range is dense — so the set algebra runs
     as merge/bitwise kernels over unboxed ints. The observable behavior
     is identical to the previous [Set.Make (Value)] implementation
-    (kept as {!Item_set_ref} for equivalence testing): iteration order
-    is increasing {!Value.compare} order and membership follows
-    {!Value.equal} equality classes.
+    (kept as the reference in the test-only fusion_oracle library for
+    equivalence testing): iteration order is increasing
+    {!Value.compare} order and membership follows {!Value.equal}
+    equality classes.
 
     Sets constructed through the value-level API ({!of_list},
     {!singleton}, {!add} on {!empty}) live in the {!Intern.global}

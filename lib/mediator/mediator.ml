@@ -53,7 +53,6 @@ module Config = struct
     trace : Trace.collector option;
     concurrency : concurrency;
     runtime : Runtime.spec;
-    exec : [ `Interp | `Compiled ];
   }
 
   let default =
@@ -66,7 +65,6 @@ module Config = struct
       trace = None;
       concurrency = `Seq;
       runtime = `Sim;
-      exec = `Interp;
     }
 
   let policy c = { Fusion_plan.Exec.retries = c.retries; on_exhausted = c.on_exhausted }
@@ -165,17 +163,12 @@ let run_body ~(config : Config.t) ~ctx t query =
               with concurrency `Par (--concurrency par)")
       | `Seq, `Sim ->
         let r =
-          match config.Config.exec with
-          | `Interp ->
-            Fusion_plan.Exec.run ?cache ~policy ~sources:t.sources
-              ~conds:env.Opt_env.conds optimized.Optimized.plan
-          | `Compiled -> (
-            match
-              Fusion_plan.Plan_compile.compile ~sources:t.sources
-                ~conds:env.Opt_env.conds optimized.Optimized.plan
-            with
-            | Ok cp -> Fusion_plan.Plan_compile.run ?cache ~policy cp
-            | Error msg -> failwith ("plan compilation failed: " ^ msg))
+          match
+            Fusion_plan.Plan_compile.compile ~sources:t.sources ~conds:env.Opt_env.conds
+              optimized.Optimized.plan
+          with
+          | Ok program -> Fusion_plan.Plan_compile.run ?cache ~policy program
+          | Error msg -> invalid_arg ("plan compilation failed: " ^ msg)
         in
         {
           x_answer = r.Fusion_plan.Exec.answer;

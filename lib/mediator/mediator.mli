@@ -30,7 +30,9 @@ val sources : t -> Source.t array
     [{ Config.default with Config.algo = Optimizer.Filter }]. *)
 module Config : sig
   type concurrency =
-    [ `Seq  (** one step at a time: elapsed time = total cost *)
+    [ `Seq
+      (** one step at a time on {!Fusion_plan.Plan_compile.run}: elapsed
+          time = total cost *)
     | `Par  (** live concurrent execution on {!Fusion_plan.Exec_async} *) ]
 
   type t = {
@@ -49,15 +51,6 @@ module Config : sig
             executes on a real domain pool with wall-clock latencies.
             [`Domains _] with [`Seq] is rejected: the sequential
             executor has nothing to run concurrently. *)
-    exec : [ `Interp | `Compiled ];
-        (** sequential execution engine: [`Interp] (default) is the
-            step-by-step {!Fusion_plan.Exec} interpreter, [`Compiled]
-            compiles the optimized plan once with
-            {!Fusion_plan.Plan_compile} and runs the fused closure
-            chain. Same answers, same costs, same fault draws — the
-            compiled form only removes per-step interpretation and
-            allocation. Ignored under [`Par] (the concurrent executor
-            schedules its own steps). *)
   }
 
   val default : t

@@ -1,12 +1,12 @@
-(** Plan execution: the mediator's interpreter.
+(** Plan execution vocabulary shared by the two drivers of the compiled
+    program: {!Plan_compile.run} (sequential) and {!Exec_async.Engine}
+    (concurrent, on a runtime).
 
-    Runs a plan against live sources, charging each source query its
-    actual cost (a function of the real transfer sizes). Local set
-    operations and local selections on loaded relations are free, per
-    the cost model (Section 2.4). *)
+    Both charge each source query its actual cost (a function of the
+    real transfer sizes). Local set operations and local selections on
+    loaded relations are free, per the cost model (Section 2.4). *)
 
 open Fusion_data
-open Fusion_cond
 open Fusion_source
 
 type step = {
@@ -27,8 +27,9 @@ type result = {
 }
 
 exception Runtime_error of string
-(** Undefined variable, kind mismatch, or out-of-range index. Running
-    {!Plan.validate} first rules these out. *)
+(** A plan that cannot execute: undefined variable, kind mismatch, or
+    out-of-range index. {!Exec_async.run} raises it with
+    {!Plan.validate}'s message when compilation fails. *)
 
 (** Session-level reuse of selection answers across plan executions.
 
@@ -58,20 +59,11 @@ module Query_cache : sig
 
   (** {2 Executor-internal operations}
 
-      The lookup/fill protocol shared by the sequential {!run} and the
-      concurrent {!Exec_async.run}. Not meant for application code —
-      going through these by hand desynchronizes the hit/miss
-      statistics from any executor's accounting. *)
-
-  val find : t -> Source.t -> Cond.t -> Item_set.t option
-  val store : t -> Source.t -> Cond.t -> Item_set.t -> unit
-  val find_sjq : t -> Source.t -> Cond.t -> Item_set.t -> Item_set.t option
-  val store_sjq : t -> Source.t -> Cond.t -> Item_set.t -> Item_set.t -> unit
-
-  (** Keyed variants for compiled plans ([Plan_compile]): same protocol,
-      but the caller supplies the source name and rendered condition
-      text, precomputed at plan-compile time instead of re-rendered per
-      lookup. *)
+      The lookup/fill protocol shared by both drivers, keyed by the
+      source name and rendered condition text that {!Plan_compile}
+      precomputes. Not meant for application code — going through these
+      by hand desynchronizes the hit/miss statistics from any driver's
+      accounting. *)
 
   val find_keyed : t -> sname:string -> ctext:string -> Item_set.t option
   val store_keyed : t -> sname:string -> ctext:string -> Item_set.t -> unit
@@ -79,6 +71,7 @@ module Query_cache : sig
 
   val store_sjq_keyed :
     t -> sname:string -> ctext:string -> Item_set.t -> Item_set.t -> unit
+
   val record_hit : t -> Source.t -> items_sent:int -> items_received:int -> unit
   val record_hit_emulated : t -> Source.t -> bindings:int -> items_received:int -> unit
 end
@@ -90,20 +83,7 @@ type policy = {
           empty result and mark the answer partial *)
 }
 (** The fault policy for sources that raise {!Source.Timeout}. Shared
-    by this sequential executor and the concurrent {!Exec_async} so the
-    two cannot drift apart. *)
+    by both drivers so the two cannot drift apart. *)
 
 val default_policy : policy
 (** No retries, [`Fail]. *)
-
-val run :
-  ?cache:Query_cache.t -> ?policy:policy ->
-  sources:Source.t array -> conds:Cond.t array -> Plan.t -> result
-(** Executes the plan. With [cache], selection answers are reused as
-    described above; cached steps appear in [steps] with cost 0.
-
-    Failure policy ([default_policy] if omitted): each source query is
-    retried up to [policy.retries] times; when retries are exhausted,
-    [`Fail] re-raises while [`Partial] binds an empty result and marks
-    the answer {!result.partial}. Every attempt's cost — including
-    timed-out ones — is charged to the step. *)

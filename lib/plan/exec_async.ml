@@ -1,33 +1,37 @@
-(* Live concurrent plan execution.
+(* Live concurrent plan execution: the second driver of the compiled
+   program ([Plan_compile]).
 
-   Where [Exec] runs the plan's steps one after another (total elapsed
-   time = total cost), this executor runs it on a [Fusion_rt.Runtime]:
-   every source query is dispatched the moment its inputs are
-   available, queries at different sources overlap, and queries at one
-   source queue FIFO behind each other — so a slow mirror stalls only
-   its own dependency chain. On the simulator backend the clock is the
-   discrete-event schedule of [Fusion_net.Sim]; on the domains backend
-   requests really run concurrently and the clock is the wall.
+   Where [Plan_compile.run] runs the program's steps one after another
+   (total elapsed time = total cost), this driver runs it on a
+   [Fusion_rt.Runtime]: every source query is dispatched the moment its
+   inputs are available, queries at different sources overlap, and
+   queries at one source queue FIFO behind each other — so a slow
+   mirror stalls only its own dependency chain. On the simulator
+   backend the clock is the discrete-event schedule of [Fusion_net.Sim];
+   on the domains backend requests really run concurrently and the
+   clock is the wall.
 
    On the simulator, source queries are dispatched in plan order, which
    makes each source's request sequence identical to the sequential
-   executor's. Answers, per-step costs and fault-injection draws
-   therefore agree exactly with [Exec.run] under the same policy; only
-   the clock bookkeeping differs. That invariant is what the async
-   property tests pin down.
+   driver's. Answers, per-step costs and fault-injection draws
+   therefore agree exactly with [Plan_compile.run] under the same
+   policy; only the clock bookkeeping differs. That invariant is what
+   the async property tests pin down.
 
    The execution itself lives in [Engine]: an incremental cursor over
-   the plan that evaluates local operations for free and surfaces one
-   source query at a time for an external scheduler to dispatch onto a
-   (possibly shared) runtime. [run] is the trivial driver — one private
-   simulated network, dispatch every request the moment it surfaces —
-   [run_on] executes on a caller-supplied runtime (concurrent dataflow
-   driver when the clock is real), and a serving layer (lib/serve) is
-   the interesting one: many engines, one network, a scheduling policy
-   arbitrating between them. *)
+   the program's instructions that evaluates local operations for free
+   and surfaces one source query at a time for an external scheduler to
+   dispatch onto a (possibly shared) runtime. It reads everything else
+   from the program — integer slots, cache keys, dataflow task ids and
+   the persistent local-selection scans — and keeps only a slot frame
+   and a per-slot availability instant of its own. [run] is the trivial
+   driver — one private simulated network, dispatch every request the
+   moment it surfaces — [run_on] executes on a caller-supplied runtime
+   (concurrent dataflow driver when the clock is real), and a serving
+   layer (lib/serve) is the interesting one: many engines, one network,
+   a scheduling policy arbitrating between them. *)
 
 open Fusion_data
-open Fusion_cond
 open Fusion_source
 module Trace = Fusion_obs.Trace
 module Metrics = Fusion_obs.Metrics
@@ -68,14 +72,17 @@ type result = {
 let to_exec_steps steps =
   List.map (fun s -> { Exec.op = s.op; cost = s.cost; result_size = s.result_size }) steps
 
-type binding = Items of Item_set.t | Loaded of Relation.t
-
 module Engine = struct
   type request = { rq_op : Op.t; rq_server : int; rq_ready : float; rq_task : int }
 
   type t = {
+    program : Plan_compile.t;
     sources : Source.t array;
-    conds : Cond.t array;
+    instrs : Plan_compile.instr array;
+    frame : Plan_compile.value array;
+    (* Instant at which each slot's value is available (simulated or
+       wall clock, whichever the runtime keeps). *)
+    avail : float array;
     cache : Query_cache.t option;
     policy : Exec.policy;
     deadline : float;
@@ -83,25 +90,21 @@ module Engine = struct
     rt : Runtime.t;
     offset : int;
     base : float;
-    nodes : (Op.t * int * int list) array;
-    env : (string, binding) Hashtbl.t;
-    (* Instant at which each variable's value is available (simulated
-       or wall clock, whichever the runtime keeps). *)
-    avail : (string, float) Hashtbl.t;
-    mutable ops : Op.t list; (* the plan suffix still to execute *)
-    mutable sq_index : int; (* plan-order position of the next source query *)
+    mutable pc : int; (* next instruction to execute *)
     mutable steps : step list; (* newest first *)
     mutable failures : int;
     mutable partial : bool;
-    output : string;
-    compiled : Plan_compile.t option;
   }
 
   let create ?cache ?(policy = Exec.default_policy) ?(deadline = infinity) ?answers
-      ?(offset = 0) ?(base = 0.0) ?compiled ~rt ~sources ~conds plan =
+      ?(offset = 0) ?(base = 0.0) ~rt program =
+    let frame = Plan_compile.frame program in
     {
-      sources;
-      conds;
+      program;
+      sources = Plan_compile.sources program;
+      instrs = Plan_compile.program program;
+      frame;
+      avail = Array.make (Array.length frame) base;
       cache;
       policy;
       deadline;
@@ -109,51 +112,18 @@ module Engine = struct
       rt;
       offset;
       base;
-      nodes = Array.of_list (Parallel_exec.dataflow plan);
-      env = Hashtbl.create 16;
-      avail = Hashtbl.create 16;
-      ops = Plan.ops plan;
-      sq_index = 0;
+      pc = 0;
       steps = [];
       failures = 0;
       partial = false;
-      output = Plan.output plan;
-      compiled;
     }
 
-  let items t var =
-    match Hashtbl.find_opt t.env var with
-    | Some (Items s) -> s
-    | Some (Loaded _) ->
-      raise (Exec.Runtime_error (var ^ " is a loaded relation, not an item set"))
-    | None -> raise (Exec.Runtime_error ("undefined variable " ^ var))
-
-  let loaded t var =
-    match Hashtbl.find_opt t.env var with
-    | Some (Loaded r) -> r
-    | Some (Items _) ->
-      raise (Exec.Runtime_error (var ^ " is an item set, not a loaded relation"))
-    | None -> raise (Exec.Runtime_error ("undefined variable " ^ var))
-
-  let source t j =
-    if j < 0 || j >= Array.length t.sources then
-      raise (Exec.Runtime_error (Printf.sprintf "source index %d out of range" j));
-    t.sources.(j)
-
-  let cond t i =
-    if i < 0 || i >= Array.length t.conds then
-      raise (Exec.Runtime_error (Printf.sprintf "condition index %d out of range" i));
-    t.conds.(i)
-
-  let ready_of t op =
-    List.fold_left
-      (fun acc v ->
-        Float.max acc (Option.value ~default:t.base (Hashtbl.find_opt t.avail v)))
-      t.base (Op.uses op)
+  let ready_of t (instr : Plan_compile.instr) =
+    Array.fold_left (fun acc i -> Float.max acc t.avail.(i)) t.base instr.reads
 
   let bind t dst value at =
-    Hashtbl.replace t.env dst value;
-    Hashtbl.replace t.avail dst at
+    t.frame.(dst) <- value;
+    t.avail.(dst) <- at
 
   let cache_outcome t ctx hit =
     if t.cache <> None then begin
@@ -163,19 +133,11 @@ module Engine = struct
             (if hit then "fusion_cache_hits_total" else "fusion_cache_misses_total"))
     end
 
-  (* The plan-order position of the next source query, aligned with the
-     [dataflow] nodes; ids (and the deps they reference) are shifted by
-     [offset] so timelines of many engines sharing one network never
-     collide. *)
-  let next_node t =
-    let id = t.sq_index in
-    t.sq_index <- t.sq_index + 1;
-    let _, _, deps = t.nodes.(id) in
-    (t.offset + id, List.map (fun d -> t.offset + d) deps)
-
-  let slot = function
-    | Some node -> node
-    | None -> invalid_arg "Exec_async: source query without a schedule slot"
+  (* The source query's schedule slot: its compile-time dataflow task,
+     shifted by [offset] so timelines of many engines sharing one
+     network never collide. *)
+  let sched t ~server ~task ~deps ~dispatched =
+    { task = t.offset + task; server; deps = List.map (fun d -> t.offset + d) deps; dispatched }
 
   (* One logical source query issued through the runtime. The thunk —
      running on a pool worker under a real-clock backend — touches only
@@ -185,9 +147,7 @@ module Engine = struct
      serialize) for wall-clock calibration. Engine state — the failure
      counter, caches, bindings — is applied on the driving fibre after
      the call returns, so the thunk is safe to run on another domain. *)
-  let source_call t ~node ~server:j ~ready f =
-    let id, deps = slot node in
-    let s = t.sources.(j) in
+  let source_call t ~s ~(sched : sched) ~ready f =
     let retries = t.policy.Exec.retries and deadline = t.deadline in
     let fail_fast = t.policy.Exec.on_exhausted = `Fail in
     let thunk () =
@@ -211,29 +171,40 @@ module Engine = struct
           cost = after.Meter.cost -. before.Meter.cost;
         }
       in
-      (* Under [`Fail] the sequential oracle raises before its failed
+      (* Under [`Fail] the sequential driver raises before its failed
          attempt ever reaches the network: don't book it. *)
       let book = outcome <> None || not fail_fast in
       ((outcome, fails, delta), delta.Meter.cost, book)
     in
     let (outcome, fails, delta), ev =
-      Runtime.call t.rt ~id ~server:j ~ready ~deps thunk
+      Runtime.call t.rt ~id:sched.task ~server:sched.server ~ready ~deps:sched.deps thunk
     in
     t.failures <- t.failures + fails;
-    Runtime.observe t.rt ~server:j ~totals:delta ~wall:(ev.Sim.finish -. ev.Sim.start);
+    Runtime.observe t.rt ~server:sched.server ~totals:delta
+      ~wall:(ev.Sim.finish -. ev.Sim.start);
     (outcome, delta.Meter.cost, ev)
 
   let give_up t op =
     if t.policy.Exec.on_exhausted = `Fail then raise (Source.Timeout (Op.dst op));
     t.partial <- true
 
-  let exec_op t ctx ~node (op : Op.t) =
-    match op with
-    | Select { dst; cond = c; source = j } -> (
-      let s = source t j and condition = cond t c in
-      let ready = ready_of t op in
-      let sname = Source.name s and ctext = Cond.to_string condition in
-      let id, deps = slot node in
+  let exec_instr t ctx (instr : Plan_compile.instr) =
+    let op = instr.op and dst = instr.dst in
+    let ready = ready_of t instr in
+    match instr.code with
+    | Plan_compile.Select { server = j; cond; sname; ctext; task } -> (
+      let s = t.sources.(j) in
+      let hit answer ~finish ~coalesced =
+        Option.iter
+          (fun c ->
+            Query_cache.record_hit c s ~items_sent:0
+              ~items_received:(Item_set.cardinal answer))
+          t.cache;
+        cache_outcome t ctx true;
+        bind t dst (Plan_compile.Items answer) finish;
+        { op; cost = 0.0; result_size = Item_set.cardinal answer; start = ready; finish;
+          coalesced; sched = Some (sched t ~server:j ~task ~deps:[] ~dispatched:false) }
+      in
       match
         Answer_cache.find t.answers ~source:sname ~cond:ctext
           ~version:(Relation.version (Source.relation s))
@@ -241,81 +212,38 @@ module Engine = struct
       with
       | Answer_cache.Inflight (finish, answer) ->
         (* The same selection is in flight: share its request. *)
-        Option.iter
-          (fun c ->
-            Query_cache.record_hit c s ~items_sent:0
-              ~items_received:(Item_set.cardinal answer))
-          t.cache;
-        cache_outcome t ctx true;
-        bind t dst (Items answer) finish;
-        { op; cost = 0.0; result_size = Item_set.cardinal answer; start = ready; finish;
-          coalesced = true; sched = Some { task = id; server = j; deps; dispatched = false } }
+        hit answer ~finish ~coalesced:true
       | Answer_cache.Cached (_staleness, answer) ->
         (* A recent enough answer from another query: reuse it. *)
-        Option.iter
-          (fun c ->
-            Query_cache.record_hit c s ~items_sent:0
-              ~items_received:(Item_set.cardinal answer))
-          t.cache;
-        cache_outcome t ctx true;
-        bind t dst (Items answer) ready;
-        { op; cost = 0.0; result_size = Item_set.cardinal answer; start = ready;
-          finish = ready; coalesced = false;
-          sched = Some { task = id; server = j; deps; dispatched = false } }
+        hit answer ~finish:ready ~coalesced:false
       | Answer_cache.Miss -> (
-        match Option.bind t.cache (fun c -> Query_cache.find c s condition) with
-        | Some answer ->
-          Option.iter
-            (fun c ->
-              Query_cache.record_hit c s ~items_sent:0
-                ~items_received:(Item_set.cardinal answer))
-            t.cache;
-          cache_outcome t ctx true;
-          bind t dst (Items answer) ready;
-          { op; cost = 0.0; result_size = Item_set.cardinal answer; start = ready;
-            finish = ready; coalesced = false;
-            sched = Some { task = id; server = j; deps; dispatched = false } }
+        match Option.bind t.cache (fun c -> Query_cache.find_keyed c ~sname ~ctext) with
+        | Some answer -> hit answer ~finish:ready ~coalesced:false
         | None -> (
+          let sc = sched t ~server:j ~task ~deps:[] ~dispatched:true in
           let outcome, duration, ev =
-            source_call t ~node ~server:j ~ready (fun () ->
-                fst (Source.select_query s condition))
+            source_call t ~s ~sched:sc ~ready (fun () -> fst (Source.select_query s cond))
           in
+          let sched = Some sc in
           match outcome with
           | Some answer ->
-            Option.iter (fun c -> Query_cache.store c s condition answer) t.cache;
+            Option.iter (fun c -> Query_cache.store_keyed c ~sname ~ctext answer) t.cache;
             cache_outcome t ctx false;
             Answer_cache.note t.answers ~source:sname ~cond:ctext
               ~finish:ev.Sim.finish
               ~version:(Relation.version (Source.relation s))
               answer;
-            bind t dst (Items answer) ev.Sim.finish;
+            bind t dst (Plan_compile.Items answer) ev.Sim.finish;
             { op; cost = duration; result_size = Item_set.cardinal answer;
-              start = ev.Sim.start; finish = ev.Sim.finish; coalesced = false;
-              sched = Some { task = id; server = j; deps; dispatched = true } }
+              start = ev.Sim.start; finish = ev.Sim.finish; coalesced = false; sched }
           | None ->
             give_up t op;
-            bind t dst (Items Item_set.empty) ev.Sim.finish;
+            bind t dst (Plan_compile.Items Item_set.empty) ev.Sim.finish;
             { op; cost = duration; result_size = 0; start = ev.Sim.start;
-              finish = ev.Sim.finish; coalesced = false;
-              sched = Some { task = id; server = j; deps; dispatched = true } })))
-    | Semijoin { dst; cond = c; source = j; input } -> (
-      let s = source t j and condition = cond t c in
-      let probe = items t input in
-      let ready = ready_of t op in
-      let sname = Source.name s and ctext = Cond.to_string condition in
-      let id, deps = slot node in
-      let record_derived_hit answer =
-        Option.iter
-          (fun c ->
-            let received = Item_set.cardinal answer in
-            if (Source.capability s).Capability.native_semijoin then
-              Query_cache.record_hit c s ~items_sent:(Item_set.cardinal probe)
-                ~items_received:received
-            else
-              Query_cache.record_hit_emulated c s ~bindings:(Item_set.cardinal probe)
-                ~items_received:received)
-          t.cache
-      in
+              finish = ev.Sim.finish; coalesced = false; sched })))
+    | Plan_compile.Semijoin { server = j; cond; input; sname; ctext; task; deps } -> (
+      let s = t.sources.(j) in
+      let probe = Plan_compile.items t.frame input in
       let derived =
         match
           Answer_cache.find t.answers ~source:sname ~cond:ctext
@@ -329,101 +257,82 @@ module Engine = struct
         | Answer_cache.Cached (_staleness, full) ->
           Some (ready, Item_set.inter full probe, false)
         | Answer_cache.Miss -> (
-          match Option.bind t.cache (fun c -> Query_cache.find c s condition) with
+          match Option.bind t.cache (fun c -> Query_cache.find_keyed c ~sname ~ctext) with
           | Some full -> Some (ready, Item_set.inter full probe, false)
           | None -> (
             match
-              Option.bind t.cache (fun c -> Query_cache.find_sjq c s condition probe)
+              Option.bind t.cache (fun c ->
+                  Query_cache.find_sjq_keyed c ~sname ~ctext probe)
             with
             | Some answer -> Some (ready, answer, false)
             | None -> None))
       in
       match derived with
       | Some (finish, answer, coalesced) ->
-        record_derived_hit answer;
+        Option.iter
+          (fun c ->
+            let received = Item_set.cardinal answer in
+            if (Source.capability s).Capability.native_semijoin then
+              Query_cache.record_hit c s ~items_sent:(Item_set.cardinal probe)
+                ~items_received:received
+            else
+              Query_cache.record_hit_emulated c s ~bindings:(Item_set.cardinal probe)
+                ~items_received:received)
+          t.cache;
         cache_outcome t ctx true;
-        bind t dst (Items answer) finish;
+        bind t dst (Plan_compile.Items answer) finish;
         { op; cost = 0.0; result_size = Item_set.cardinal answer; start = ready; finish;
-          coalesced; sched = Some { task = id; server = j; deps; dispatched = false } }
+          coalesced; sched = Some (sched t ~server:j ~task ~deps ~dispatched:false) }
       | None -> (
+        let sc = sched t ~server:j ~task ~deps ~dispatched:true in
         let outcome, duration, ev =
-          source_call t ~node ~server:j ~ready (fun () ->
-              fst (Source.semijoin_query s condition probe))
+          source_call t ~s ~sched:sc ~ready (fun () ->
+              fst (Source.semijoin_query s cond probe))
         in
+        let sched = Some sc in
         match outcome with
         | Some answer ->
-          Option.iter (fun c -> Query_cache.store_sjq c s condition probe answer) t.cache;
+          Option.iter
+            (fun c -> Query_cache.store_sjq_keyed c ~sname ~ctext probe answer)
+            t.cache;
           cache_outcome t ctx false;
-          bind t dst (Items answer) ev.Sim.finish;
+          bind t dst (Plan_compile.Items answer) ev.Sim.finish;
           { op; cost = duration; result_size = Item_set.cardinal answer;
-            start = ev.Sim.start; finish = ev.Sim.finish; coalesced = false;
-            sched = Some { task = id; server = j; deps; dispatched = true } }
+            start = ev.Sim.start; finish = ev.Sim.finish; coalesced = false; sched }
         | None ->
           give_up t op;
-          bind t dst (Items Item_set.empty) ev.Sim.finish;
+          bind t dst (Plan_compile.Items Item_set.empty) ev.Sim.finish;
           { op; cost = duration; result_size = 0; start = ev.Sim.start;
-            finish = ev.Sim.finish; coalesced = false;
-            sched = Some { task = id; server = j; deps; dispatched = true } }))
-    | Load { dst; source = j } -> (
-      let s = source t j in
-      let ready = ready_of t op in
-      let id, deps = slot node in
+            finish = ev.Sim.finish; coalesced = false; sched }))
+    | Plan_compile.Load { server = j; task } -> (
+      let s = t.sources.(j) in
+      let sc = sched t ~server:j ~task ~deps:[] ~dispatched:true in
       let outcome, duration, ev =
-        source_call t ~node ~server:j ~ready (fun () -> fst (Source.load_query s))
+        source_call t ~s ~sched:sc ~ready (fun () -> fst (Source.load_query s))
       in
+      let sched = Some sc in
       match outcome with
       | Some relation ->
-        bind t dst (Loaded relation) ev.Sim.finish;
+        bind t dst (Plan_compile.Loaded relation) ev.Sim.finish;
         { op; cost = duration; result_size = Relation.cardinality relation;
-          start = ev.Sim.start; finish = ev.Sim.finish; coalesced = false;
-          sched = Some { task = id; server = j; deps; dispatched = true } }
+          start = ev.Sim.start; finish = ev.Sim.finish; coalesced = false; sched }
       | None ->
         give_up t op;
-        bind t dst (Loaded (Relation.create ~name:(Source.name s) (Source.schema s)))
-          ev.Sim.finish;
+        bind t dst (Plan_compile.Loaded (Plan_compile.empty_load s)) ev.Sim.finish;
         { op; cost = duration; result_size = 0; start = ev.Sim.start;
-          finish = ev.Sim.finish; coalesced = false;
-          sched = Some { task = id; server = j; deps; dispatched = true } })
-    | Local_select { dst; cond = c; input } ->
-      let relation = loaded t input in
-      let ready = ready_of t op in
-      (* Compiled-plan engines share the steady-state columnar scan;
-         standalone engines compile one per op (still a column scan,
-         just not reused across runs). *)
-      let answer =
-        match
-          Option.bind t.compiled (fun cp -> Plan_compile.local_select cp op relation)
-        with
-        | Some answer -> answer
-        | None -> Cond_vec.select_items (Cond_vec.compile relation (cond t c))
-      in
-      bind t dst (Items answer) ready;
-      { op; cost = 0.0; result_size = Item_set.cardinal answer; start = ready;
-        finish = ready; coalesced = false; sched = None }
-    | Union { dst; args } ->
-      let ready = ready_of t op in
-      let answer = Item_set.union_list (List.map (items t) args) in
-      bind t dst (Items answer) ready;
-      { op; cost = 0.0; result_size = Item_set.cardinal answer; start = ready;
-        finish = ready; coalesced = false; sched = None }
-    | Inter { dst; args } ->
-      let ready = ready_of t op in
-      let answer = Item_set.inter_list (List.map (items t) args) in
-      bind t dst (Items answer) ready;
-      { op; cost = 0.0; result_size = Item_set.cardinal answer; start = ready;
-        finish = ready; coalesced = false; sched = None }
-    | Diff { dst; left; right } ->
-      let ready = ready_of t op in
-      let answer = Item_set.diff (items t left) (items t right) in
-      bind t dst (Items answer) ready;
+          finish = ev.Sim.finish; coalesced = false; sched })
+    | (Plan_compile.Local_select _ | Union _ | Inter _ | Diff _) as code ->
+      let answer = Plan_compile.local t.frame code in
+      bind t dst (Plan_compile.Items answer) ready;
       { op; cost = 0.0; result_size = Item_set.cardinal answer; start = ready;
         finish = ready; coalesced = false; sched = None }
 
-  let run_op t ~node op =
+  let run_instr t (instr : Plan_compile.instr) =
+    let op = instr.op in
     let step =
       Trace.span Trace.Step (Op.name op) (fun ctx ->
           let failures_before = t.failures in
-          let step = exec_op t ctx ~node op in
+          let step = exec_instr t ctx instr in
           if Trace.active ctx then begin
             Trace.attrs ctx
               [
@@ -458,44 +367,41 @@ module Engine = struct
     t.steps <- step :: t.steps;
     step
 
+  let finished t = t.pc = Array.length t.instrs
+
   (* Evaluate free local operations at the head of the cursor, then
      surface the next source query (or nothing, when the plan is done).
      Local operations never need a scheduling decision: they cost
      nothing and happen the instant their inputs are available. *)
   let rec pending t =
-    match t.ops with
-    | [] -> None
-    | op :: rest ->
-      if Op.is_source_query op then
-        let server =
-          match op with
-          | Op.Select { source; _ } | Op.Semijoin { source; _ } | Op.Load { source; _ } ->
-            source
-          | _ -> assert false
-        in
+    if finished t then None
+    else
+      let instr = t.instrs.(t.pc) in
+      match instr.code with
+      | Plan_compile.Select { server; task; _ }
+      | Plan_compile.Semijoin { server; task; _ }
+      | Plan_compile.Load { server; task; _ } ->
         Some
           {
-            rq_op = op;
+            rq_op = instr.op;
             rq_server = server;
-            rq_ready = ready_of t op;
-            rq_task = t.offset + t.sq_index;
+            rq_ready = ready_of t instr;
+            rq_task = t.offset + task;
           }
-      else begin
-        t.ops <- rest;
-        ignore (run_op t ~node:None op);
+      | Plan_compile.Local_select _ | Union _ | Inter _ | Diff _ ->
+        t.pc <- t.pc + 1;
+        ignore (run_instr t instr);
         pending t
-      end
 
   let dispatch t =
-    match t.ops with
-    | op :: rest when Op.is_source_query op ->
-      t.ops <- rest;
-      let node = next_node t in
-      run_op t ~node:(Some node) op
-    | _ -> invalid_arg "Exec_async.Engine.dispatch: no pending source query"
+    if (not (finished t)) && Op.is_source_query t.instrs.(t.pc).op then begin
+      let instr = t.instrs.(t.pc) in
+      t.pc <- t.pc + 1;
+      run_instr t instr
+    end
+    else invalid_arg "Exec_async.Engine.dispatch: no pending source query"
 
-  let finished t = t.ops = []
-  let task_count t = Array.length t.nodes
+  let task_count t = Plan_compile.task_count t.program
   let steps t = List.rev t.steps
   let failures t = t.failures
   let partial t = t.partial
@@ -504,8 +410,8 @@ module Engine = struct
   let finish_time t = List.fold_left (fun acc s -> Float.max acc s.finish) t.base t.steps
 
   let answer t =
-    if t.ops <> [] then invalid_arg "Exec_async.Engine.answer: plan not finished";
-    items t t.output
+    if not (finished t) then invalid_arg "Exec_async.Engine.answer: plan not finished";
+    Plan_compile.items t.frame (Plan_compile.output t.program)
 end
 
 (* The sequential driver: dispatch every request the moment it
@@ -521,43 +427,32 @@ let drive_sequential e =
   drive ()
 
 (* The concurrent dataflow driver for real-clock runtimes: walk the
-   plan in order, fork one fibre per source query, and synchronize
-   through per-variable promises — an op waits only for the in-flight
-   producers of its own inputs, so independent queries really overlap
-   while the runtime's per-server lanes keep each source FIFO. Node
-   ids are assigned on the driving fibre, in plan order, before the
+   program in order, fork one fibre per source query, and synchronize
+   through per-slot promises — an instruction waits only for the
+   in-flight producers of its own inputs, so independent queries really
+   overlap while the runtime's per-server lanes keep each source FIFO.
+   The cursor advances on the driving fibre, in plan order, before the
    query fibre first suspends. *)
-let drive_concurrent e rt =
+let drive_concurrent (e : Engine.t) rt =
   Runtime.run rt @@ fun () ->
-  let inflight : (string, unit Fiber.Promise.t) Hashtbl.t = Hashtbl.create 16 in
-  let await_uses op =
-    List.iter
-      (fun v ->
-        match Hashtbl.find_opt inflight v with
-        | Some p -> Fiber.Promise.await p
-        | None -> ())
-      (Op.uses op)
-  in
+  let inflight = Array.make (Array.length e.Engine.frame) None in
   Fiber.Switch.run (fun sw ->
-      let rec drive () =
-        match e.Engine.ops with
-        | [] -> ()
-        | op :: rest ->
-          await_uses op;
-          e.Engine.ops <- rest;
-          if Op.is_source_query op then begin
-            let node = Engine.next_node e in
-            let p = Fiber.Promise.create () in
-            Hashtbl.replace inflight (Op.dst op) p;
-            Fiber.Switch.fork sw (fun () ->
-                Fun.protect
-                  ~finally:(fun () -> Fiber.Promise.resolve p ())
-                  (fun () -> ignore (Engine.run_op e ~node:(Some node) op)))
-          end
-          else ignore (Engine.run_op e ~node:None op);
-          drive ()
-      in
-      drive ())
+      while not (Engine.finished e) do
+        let instr = e.Engine.instrs.(e.Engine.pc) in
+        Array.iter
+          (fun i -> Option.iter Fiber.Promise.await inflight.(i))
+          instr.Plan_compile.reads;
+        e.Engine.pc <- e.Engine.pc + 1;
+        if Op.is_source_query instr.Plan_compile.op then begin
+          let p = Fiber.Promise.create () in
+          inflight.(instr.Plan_compile.dst) <- Some p;
+          Fiber.Switch.fork sw (fun () ->
+              Fun.protect
+                ~finally:(fun () -> Fiber.Promise.resolve p ())
+                (fun () -> ignore (Engine.run_instr e instr)))
+        end
+        else ignore (Engine.run_instr e instr)
+      done)
 
 let collect e rt =
   let steps = Engine.steps e in
@@ -573,7 +468,12 @@ let collect e rt =
   }
 
 let run_on ?cache ?policy ?deadline ~rt ~sources ~conds plan =
-  let e = Engine.create ?cache ?policy ?deadline ~rt ~sources ~conds plan in
+  let program =
+    match Plan_compile.compile ~sources ~conds plan with
+    | Ok program -> program
+    | Error msg -> raise (Exec.Runtime_error msg)
+  in
+  let e = Engine.create ?cache ?policy ?deadline ~rt program in
   if Runtime.is_real rt then drive_concurrent e rt else drive_sequential e;
   collect e rt
 

@@ -1,8 +1,9 @@
 (** Live concurrent plan execution.
 
-    The sequential {!Exec} charges steps one after another, so a query's
-    elapsed time equals its total cost. This executor instead runs the
-    plan on a {!Fusion_rt.Runtime}: each source query is dispatched the
+    The sequential driver ({!Plan_compile.run}) charges steps one after
+    another, so a query's elapsed time equals its total cost. This
+    driver instead runs the same compiled program on a
+    {!Fusion_rt.Runtime}: each source query is dispatched the
     moment the source queries feeding it complete, queries at different
     sources proceed concurrently, and queries at the same source queue
     FIFO — a slow mirror delays only the chains that depend on it. The
@@ -12,7 +13,7 @@
     On the simulator backend, source queries are issued in plan order,
     so each source sees exactly the request sequence the sequential
     executor would send it. Answers, per-step costs and fault-injection
-    draws therefore agree with {!Exec.run} under the same
+    draws therefore agree with {!Plan_compile.run} under the same
     {!Exec.policy}; only the clock differs. On a real-clock backend
     ({!Fusion_rt.Runtime.domains}) the plan runs as a concurrent
     dataflow — one fibre per source query, synchronized through its
@@ -97,21 +98,19 @@ module Engine : sig
     ?answers:Answer_cache.t ->
     ?offset:int ->
     ?base:float ->
-    ?compiled:Plan_compile.t ->
     rt:Fusion_rt.Runtime.t ->
-    sources:Source.t array ->
-    conds:Cond.t array ->
-    Plan.t ->
+    Plan_compile.t ->
     t
-  (** [answers] is the cross-query {!Answer_cache} shared with other
-      engines on the same network (a private, TTL-less one if omitted —
-      plain per-run request coalescing). [offset] shifts the engine's
-      dataflow task ids so timelines of many engines never collide.
-      [base] is the instant the query was admitted: no step starts
-      before it. [compiled] is the {!Plan_compile} form of the same
-      plan: local selections then reuse its persistent columnar scans
-      (the serving layer passes one per cached plan). [cache],
-      [policy], [deadline] as in {!run}. *)
+  (** An engine over one compiled program. It steps the program's own
+      instructions — slots, cache keys, dataflow tasks and local
+      scans — so the program must not run anywhere else while the
+      engine is live. [answers] is the cross-query {!Answer_cache}
+      shared with other engines on the same network (a private,
+      TTL-less one if omitted — plain per-run request coalescing).
+      [offset] shifts the engine's dataflow task ids so timelines of
+      many engines never collide. [base] is the instant the query was
+      admitted: no step starts before it. [cache], [policy],
+      [deadline] as in {!run}. *)
 
   val pending : t -> request option
   (** Advances through local operations (evaluating them at their ready
@@ -154,13 +153,15 @@ val run :
   conds:Cond.t array ->
   Plan.t ->
   result
-(** Executes the plan concurrently. [cache] and [policy] behave as in
-    {!Exec.run} ([Exec.default_policy] if omitted). [deadline] (default
+(** Compiles the plan and executes it concurrently. [cache] and
+    [policy] behave as in {!Plan_compile.run} ([Exec.default_policy] if
+    omitted). [deadline] (default
     [infinity]) is a per-query budget of simulated service time: once a
     source query's attempts have consumed that much, remaining retries
     are forfeited and the {!Exec.policy.on_exhausted} action applies —
     time already spent is still charged.
-    @raise Exec.Runtime_error as {!Exec.run} does.
+    @raise Exec.Runtime_error when the plan fails {!Plan_compile.compile}
+    (the message is {!Plan.validate}'s).
     @raise Source.Timeout under the [`Fail] policy. *)
 
 val run_on :

@@ -4,51 +4,75 @@ open Fusion_source
 module Trace = Fusion_obs.Trace
 module Metrics = Fusion_obs.Metrics
 module Query_cache = Exec.Query_cache
+module Int_set = Set.Make (Int)
 
-type slot = Unset | Items of Item_set.t | Loaded of Relation.t
+type value = Items of Item_set.t | Loaded of Relation.t
 
 (* The compiled local-selection scan. Steady state hits the [Some]
    branch with the same physical relation every run (Load returns the
    source's own relation object), so the condition compiles once for
    the lifetime of the compiled plan; only a `Partial-failure Load,
    which binds a fresh empty relation, recompiles. *)
-type local_state = { mutable vec : Cond_vec.t option }
+type scan = { cond : Cond.t; mutable vec : Cond_vec.t option }
 
-let local_vec state cond rel =
-  match state.vec with
-  | Some v when Cond_vec.relation v == rel -> v
-  | _ ->
-    let v = Cond_vec.compile rel cond in
-    state.vec <- Some v;
-    v
+let scan state rel =
+  let v =
+    match state.vec with
+    | Some v when Cond_vec.relation v == rel -> v
+    | _ ->
+      let v = Cond_vec.compile rel state.cond in
+      state.vec <- Some v;
+      v
+  in
+  Cond_vec.select_items v
 
-type cop =
-  | CSelect of { dst : int; s : Source.t; cond : Cond.t; sname : string; ctext : string }
-  | CSemijoin of {
-      dst : int;
-      s : Source.t;
+type code =
+  | Select of {
+      server : int;
+      cond : Cond.t;
+      sname : string;
+      ctext : string;
+      task : int;
+    }
+  | Semijoin of {
+      server : int;
       cond : Cond.t;
       input : int;
       sname : string;
       ctext : string;
+      task : int;
+      deps : int list;
     }
-  | CLoad of { dst : int; s : Source.t }
-  | CLocal of { dst : int; cond : Cond.t; input : int; state : local_state }
-  | CUnion of { dst : int; args : int array }
-  | CInter of { dst : int; args : int array }
-  | CDiff of { dst : int; left : int; right : int }
+  | Load of { server : int; task : int }
+  | Local_select of { input : int; scan : scan }
+  | Union of int array
+  | Inter of int array
+  | Diff of int * int
+
+type instr = { op : Op.t; dst : int; reads : int array; code : code }
 
 type t = {
   plan : Plan.t;
   sources : Source.t array;
-  ops : Op.t array; (* plan order; kept for steps and trace parity *)
-  cops : cop array; (* same order, variables resolved to slots *)
+  program : instr array; (* plan order *)
   out : int;
-  slots : slot array; (* run-to-run scratch: makes a value non-reentrant *)
+  tasks : int;
+  frame : value array; (* [run]'s scratch: makes a value non-reentrant *)
 }
 
 let plan t = t.plan
 let sources t = t.sources
+let program t = t.program
+let output t = t.out
+let task_count t = t.tasks
+
+(* Every slot starts bound to the empty item set; validation guarantees
+   each read follows the write that gives the slot its real value. *)
+let reset frame = Array.fill frame 0 (Array.length frame) (Items Item_set.empty)
+
+let frame t =
+  reset t.frame;
+  t.frame
 
 let compile ~sources ~conds p =
   match Plan.validate ~m:(Array.length conds) ~n:(Array.length sources) p with
@@ -57,8 +81,8 @@ let compile ~sources ~conds p =
     let slot_ids = Hashtbl.create 16 in
     let nslots = ref 0 in
     (* One slot per variable name: rebinding reuses the slot, so reads
-       always see the latest binding, exactly like the interpreter's
-       name -> binding table. *)
+       always see the latest binding, exactly like a name -> binding
+       table. *)
     let slot var =
       match Hashtbl.find_opt slot_ids var with
       | Some i -> i
@@ -68,61 +92,92 @@ let compile ~sources ~conds p =
         Hashtbl.add slot_ids var i;
         i
     in
-    let cop (op : Op.t) =
-      match op with
-      | Select { dst; cond = c; source = j } ->
-        let s = sources.(j) and cond = conds.(c) in
-        CSelect
-          { dst = slot dst; s; cond; sname = Source.name s; ctext = Cond.to_string cond }
-      | Semijoin { dst; cond = c; source = j; input } ->
-        let s = sources.(j) and cond = conds.(c) in
-        let input = slot input in
-        CSemijoin
-          {
-            dst = slot dst;
-            s;
-            cond;
-            input;
-            sname = Source.name s;
-            ctext = Cond.to_string cond;
-          }
-      | Load { dst; source = j } -> CLoad { dst = slot dst; s = sources.(j) }
-      | Local_select { dst; cond = c; input } ->
-        let input = slot input in
-        CLocal { dst = slot dst; cond = conds.(c); input; state = { vec = None } }
-      | Union { dst; args } ->
-        let args = Array.of_list (List.map slot args) in
-        CUnion { dst = slot dst; args }
-      | Inter { dst; args } ->
-        let args = Array.of_list (List.map slot args) in
-        CInter { dst = slot dst; args }
-      | Diff { dst; left; right } ->
-        CDiff { dst = slot dst; left = slot left; right = slot right }
+    (* Condition texts are cache keys; render each condition once. *)
+    let ctexts = Array.make (Array.length conds) None in
+    let ctext c =
+      match ctexts.(c) with
+      | Some text -> text
+      | None ->
+        let text = Cond.to_string conds.(c) in
+        ctexts.(c) <- Some text;
+        text
     in
-    let ops = Array.of_list (Plan.ops p) in
-    let cops = Array.map cop ops in
+    (* The source-query dataflow: each slot carries the ids of the
+       source queries whose completion makes its value available; local
+       operations merge their inputs' sets. *)
+    let slot_deps = Hashtbl.create 16 in
+    let deps_of reads =
+      Array.fold_left
+        (fun acc i ->
+          Int_set.union acc (Option.value ~default:Int_set.empty (Hashtbl.find_opt slot_deps i)))
+        Int_set.empty reads
+    in
+    let ntasks = ref 0 in
+    let task () =
+      let id = !ntasks in
+      incr ntasks;
+      id
+    in
+    let instr (op : Op.t) =
+      let reads = Array.of_list (List.map slot (Op.uses op)) in
+      let code =
+        match op with
+        | Select { cond = c; source = j; _ } ->
+          let s = sources.(j) in
+          Select
+            { server = j; cond = conds.(c); sname = Source.name s; ctext = ctext c;
+              task = task () }
+        | Semijoin { cond = c; source = j; _ } ->
+          let s = sources.(j) in
+          Semijoin
+            { server = j; cond = conds.(c); input = reads.(0); sname = Source.name s;
+              ctext = ctext c; task = task (); deps = Int_set.elements (deps_of reads) }
+        | Load { source = j; _ } -> Load { server = j; task = task () }
+        | Local_select { cond = c; _ } ->
+          Local_select { input = reads.(0); scan = { cond = conds.(c); vec = None } }
+        | Union _ -> Union reads
+        | Inter _ -> Inter reads
+        | Diff _ -> Diff (reads.(0), reads.(1))
+      in
+      let dst = slot (Op.dst op) in
+      Hashtbl.replace slot_deps dst
+        (match code with
+        | Select { task; _ } | Semijoin { task; _ } | Load { task; _ } ->
+          Int_set.singleton task
+        | _ -> deps_of reads);
+      { op; dst; reads; code }
+    in
+    let program = Array.of_list (List.map instr (Plan.ops p)) in
     let out = slot (Plan.output p) in
-    Ok { plan = p; sources; ops; cops; out; slots = Array.make !nslots Unset }
+    Ok
+      {
+        plan = p;
+        sources;
+        program;
+        out;
+        tasks = !ntasks;
+        frame = Array.make !nslots (Items Item_set.empty);
+      }
 
-(* Unreachable after [Plan.validate] (which [compile] runs); kept as
-   guards with the interpreter's exception type. *)
-let items t i =
-  match t.slots.(i) with
-  | Items s -> s
-  | Loaded _ -> raise (Exec.Runtime_error "loaded relation used as an item set")
-  | Unset -> raise (Exec.Runtime_error "undefined variable")
+(* Kinds were checked by [Plan.validate] when the program was compiled. *)
+let items frame i =
+  match frame.(i) with Items s -> s | Loaded _ -> assert false
 
-let loaded t i =
-  match t.slots.(i) with
-  | Loaded r -> r
-  | Items _ -> raise (Exec.Runtime_error "item set used as a loaded relation")
-  | Unset -> raise (Exec.Runtime_error "undefined variable")
+let loaded frame i =
+  match frame.(i) with Loaded r -> r | Items _ -> assert false
 
-let items_of_args t args = Array.to_list (Array.map (items t) args)
+let local frame = function
+  | Local_select { input; scan = state } -> scan state (loaded frame input)
+  | Union args -> Item_set.union_list (Array.to_list (Array.map (items frame) args))
+  | Inter args -> Item_set.inter_list (Array.to_list (Array.map (items frame) args))
+  | Diff (left, right) -> Item_set.diff (items frame left) (items frame right)
+  | Select _ | Semijoin _ | Load _ -> invalid_arg "Plan_compile.local: a source query"
+
+let empty_load s = Relation.create ~name:(Source.name s) (Source.schema s)
 
 let exec ?cache ?(policy = Exec.default_policy) ~record_steps t =
   let { Exec.retries; on_exhausted } = policy in
-  Array.fill t.slots 0 (Array.length t.slots) Unset;
+  let frame = frame t in
   let failures = ref 0 in
   let partial = ref false in
   let metered_cost () =
@@ -138,9 +193,10 @@ let exec ?cache ?(policy = Exec.default_policy) ~record_steps t =
             (if hit then "fusion_cache_hits_total" else "fusion_cache_misses_total"))
     end
   in
-  let exec_cop ctx cop =
-    match cop with
-    | CSelect { dst; s; cond; sname; ctext } -> (
+  let exec_code ctx { dst; code; _ } =
+    match code with
+    | Select { server; cond; sname; ctext; _ } -> (
+      let s = t.sources.(server) in
       let cached = Option.bind cache (fun c -> Query_cache.find_keyed c ~sname ~ctext) in
       match cached with
       | Some answer ->
@@ -150,16 +206,17 @@ let exec ?cache ?(policy = Exec.default_policy) ~record_steps t =
               ~items_received:(Item_set.cardinal answer))
           cache;
         cache_outcome ctx true;
-        t.slots.(dst) <- Items answer;
+        frame.(dst) <- Items answer;
         (0.0, Item_set.cardinal answer)
       | None ->
         let answer, cost = Source.select_query s cond in
         Option.iter (fun c -> Query_cache.store_keyed c ~sname ~ctext answer) cache;
         cache_outcome ctx false;
-        t.slots.(dst) <- Items answer;
+        frame.(dst) <- Items answer;
         (cost, Item_set.cardinal answer))
-    | CSemijoin { dst; s; cond; input; sname; ctext } -> (
-      let probe = items t input in
+    | Semijoin { server; cond; input; sname; ctext; _ } -> (
+      let s = t.sources.(server) in
+      let probe = items frame input in
       let cached =
         match Option.bind cache (fun c -> Query_cache.find_keyed c ~sname ~ctext) with
         | Some full -> Some (Item_set.inter full probe)
@@ -179,45 +236,33 @@ let exec ?cache ?(policy = Exec.default_policy) ~record_steps t =
                 ~items_received:received)
           cache;
         cache_outcome ctx true;
-        t.slots.(dst) <- Items answer;
+        frame.(dst) <- Items answer;
         (0.0, Item_set.cardinal answer)
       | None ->
         let answer, cost = Source.semijoin_query s cond probe in
         Option.iter (fun c -> Query_cache.store_sjq_keyed c ~sname ~ctext probe answer) cache;
         cache_outcome ctx false;
-        t.slots.(dst) <- Items answer;
+        frame.(dst) <- Items answer;
         (cost, Item_set.cardinal answer))
-    | CLoad { dst; s } ->
-      let relation, cost = Source.load_query s in
-      t.slots.(dst) <- Loaded relation;
+    | Load { server; _ } ->
+      let relation, cost = Source.load_query t.sources.(server) in
+      frame.(dst) <- Loaded relation;
       (cost, Relation.cardinality relation)
-    | CLocal { dst; cond; input; state } ->
-      let relation = loaded t input in
-      let answer = Cond_vec.select_items (local_vec state cond relation) in
-      t.slots.(dst) <- Items answer;
-      (0.0, Item_set.cardinal answer)
-    | CUnion { dst; args } ->
-      let answer = Item_set.union_list (items_of_args t args) in
-      t.slots.(dst) <- Items answer;
-      (0.0, Item_set.cardinal answer)
-    | CInter { dst; args } ->
-      let answer = Item_set.inter_list (items_of_args t args) in
-      t.slots.(dst) <- Items answer;
-      (0.0, Item_set.cardinal answer)
-    | CDiff { dst; left; right } ->
-      let answer = Item_set.diff (items t left) (items t right) in
-      t.slots.(dst) <- Items answer;
+    | Local_select _ | Union _ | Inter _ | Diff _ ->
+      let answer = local frame code in
+      frame.(dst) <- Items answer;
       (0.0, Item_set.cardinal answer)
   in
-  (* Same retry protocol as the interpreter: source queries retry on
-     timeouts, the step cost is the meter delta (failed attempts'
-     overhead included), and `Partial binds a harmless empty value. *)
-  let exec_with_retries ctx op cop =
-    if not (Op.is_source_query op) then exec_cop ctx cop
+  (* Source queries retry on timeouts, the step cost is the meter delta
+     (failed attempts' overhead included), and `Partial binds a harmless
+     empty value. *)
+  let exec_with_retries ctx instr =
+    let op = instr.op in
+    if not (Op.is_source_query op) then exec_code ctx instr
     else begin
       let before = metered_cost () in
       let rec attempt budget =
-        match exec_cop ctx cop with
+        match exec_code ctx instr with
         | _, result_size -> Some result_size
         | exception Source.Timeout _ ->
           incr failures;
@@ -225,13 +270,10 @@ let exec ?cache ?(policy = Exec.default_policy) ~record_steps t =
           else if on_exhausted = `Fail then raise (Source.Timeout (Op.dst op))
           else begin
             partial := true;
-            (match cop with
-            | CSelect { dst; _ } | CSemijoin { dst; _ } ->
-              t.slots.(dst) <- Items Item_set.empty
-            | CLoad { dst; s } ->
-              t.slots.(dst) <-
-                Loaded (Relation.create ~name:(Source.name s) (Source.schema s))
-            | _ -> assert false);
+            (match instr.code with
+            | Load { server; _ } ->
+              frame.(instr.dst) <- Loaded (empty_load t.sources.(server))
+            | _ -> frame.(instr.dst) <- Items Item_set.empty);
             None
           end
       in
@@ -241,13 +283,15 @@ let exec ?cache ?(policy = Exec.default_policy) ~record_steps t =
   in
   let steps = ref [] in
   let total = ref 0.0 in
-  let n = Array.length t.ops in
-  for k = 0 to n - 1 do
-    let op = t.ops.(k) in
+  (* A loop, not [Array.iter]: a closure would capture [total] and box
+     every partial sum. *)
+  for k = 0 to Array.length t.program - 1 do
+    let instr = t.program.(k) in
+    let op = instr.op in
     let cost, result_size =
       Trace.span Trace.Step (Op.name op) (fun ctx ->
           let failures_before = !failures in
-          let cost, result_size = exec_with_retries ctx op t.cops.(k) in
+          let cost, result_size = exec_with_retries ctx instr in
           if Trace.active ctx then begin
             Trace.attrs ctx
               [
@@ -264,7 +308,7 @@ let exec ?cache ?(policy = Exec.default_policy) ~record_steps t =
     if record_steps then steps := { Exec.op; cost; result_size } :: !steps
   done;
   {
-    Exec.answer = items t t.out;
+    Exec.answer = items frame t.out;
     steps = List.rev !steps;
     total_cost = !total;
     failures = !failures;
@@ -274,19 +318,3 @@ let exec ?cache ?(policy = Exec.default_policy) ~record_steps t =
 let run ?cache ?policy t = exec ?cache ?policy ~record_steps:true t
 
 let answer ?cache ?policy t = (exec ?cache ?policy ~record_steps:false t).Exec.answer
-
-(* Concurrent-engine hook: [Exec_async] resolves its [Local_select] ops
-   against the compiled plan by physical op identity, sharing the
-   steady-state scan cache. *)
-let local_select t (op : Op.t) relation =
-  let n = Array.length t.ops in
-  let rec find k =
-    if k = n then None
-    else if t.ops.(k) == op then
-      match t.cops.(k) with
-      | CLocal { cond; state; _ } ->
-        Some (Cond_vec.select_items (local_vec state cond relation))
-      | _ -> None
-    else find (k + 1)
-  in
-  find 0

@@ -150,7 +150,6 @@ let handler sched ~on_done =
               if external_ then Atomic.incr sched.ext_pending;
               let fire (r : (a, exn) result) =
                 if Atomic.compare_and_set resolved false true then begin
-                  if external_ then Atomic.decr sched.ext_pending;
                   let thunk () =
                     sched.cur <- ctx;
                     ctx.cancel <- None;
@@ -158,8 +157,19 @@ let handler sched ~on_done =
                     | Ok v -> Effect.Deep.continue k v
                     | Error e -> Effect.Deep.discontinue k e
                   in
-                  if Domain.self () = sched.dom then Queue.push thunk sched.run_q
-                  else enqueue_external sched (fun () -> Queue.push thunk sched.run_q)
+                  (* An external completion stops counting as outstanding
+                     only on the scheduler domain, in the same step that
+                     makes its fibre runnable: the idle loop can then
+                     never see zero outstanding completions while one is
+                     still unpublished. *)
+                  if Domain.self () = sched.dom then begin
+                    if external_ then Atomic.decr sched.ext_pending;
+                    Queue.push thunk sched.run_q
+                  end
+                  else
+                    enqueue_external sched (fun () ->
+                        if external_ then Atomic.decr sched.ext_pending;
+                        Queue.push thunk sched.run_q)
                 end
               in
               let r = { fire; dead = (fun () -> Atomic.get resolved) } in

@@ -2,8 +2,9 @@
 
     Where {!Fusion_plan.Exec_async} runs {e one} plan on a private
     network, a server multiplexes many concurrently executing fusion
-    queries onto a single {!Fusion_rt.Runtime}: each admitted query
-    is an {!Fusion_plan.Exec_async.Engine}, and the server's event
+    queries onto a single {!Fusion_rt.Runtime}: admission compiles each
+    query once ({!Fusion_plan.Plan_compile}) and steps the program with
+    an {!Fusion_plan.Exec_async.Engine}, and the server's event
     loop plays scheduler — at every {!step} it either admits the next
     arrival or dispatches the pending source request its {!policy}
     ranks first onto the shared per-source FIFO queues. On the
@@ -23,7 +24,9 @@
     ({!Queue_full}), or when its {!job.deadline} cannot be met even
     optimistically — worst-case source backlog at arrival plus the
     optimizer's estimate already exceeds the budget
-    ({!Deadline_unmeetable}).
+    ({!Deadline_unmeetable}). An admitted job whose plan fails to
+    compile completes at once with [c_failed] carrying the validation
+    message; it never reaches a source.
 
     {b Cross-query caching.} All engines share one
     {!Fusion_plan.Answer_cache}: identical selections overlapping in

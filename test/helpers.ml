@@ -85,7 +85,7 @@ let qtest ?(count = 50) name gen print prop =
 (* Execute a plan against an instance's sources, returning the answer. *)
 let execute_plan (instance : Fusion_workload.Workload.instance) plan =
   Array.iter Source.reset_meter instance.Fusion_workload.Workload.sources;
-  Fusion_plan.Exec.run
+  Fusion_oracle.Exec.run
     ~sources:instance.Fusion_workload.Workload.sources
     ~conds:(Fusion_query.Query.conditions instance.Fusion_workload.Workload.query)
     plan

@@ -84,7 +84,7 @@ let test_beats_static_on_entity_correlated_world () =
   let sja = Algorithms.sja env in
   Array.iter Fusion_source.Source.reset_meter instance.Workload.sources;
   let static =
-    Fusion_plan.Exec.run ~sources:instance.Workload.sources
+    Fusion_oracle.Exec.run ~sources:instance.Workload.sources
       ~conds:(Fusion_query.Query.conditions instance.Workload.query)
       sja.Optimized.plan
   in

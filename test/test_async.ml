@@ -14,7 +14,7 @@ let conds (instance : Workload.instance) =
 
 let run_seq ?cache ?policy (instance : Workload.instance) plan =
   Array.iter Source.reset_meter instance.Workload.sources;
-  Exec.run ?cache ?policy ~sources:instance.Workload.sources ~conds:(conds instance)
+  Fusion_oracle.Exec.run ?cache ?policy ~sources:instance.Workload.sources ~conds:(conds instance)
     plan
 
 let run_async ?cache ?policy ?deadline (instance : Workload.instance) plan =

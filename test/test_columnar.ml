@@ -6,7 +6,7 @@
      workloads — every observable: tuples, items, probes, predicates;
    - {!Cond_vec} compiled column scans against [Cond.eval] row by row,
      including reuse of one compiled scan across mutations;
-   - {!Plan_compile} against {!Exec.run} over random optimized plan
+   - {!Plan_compile} against {!Fusion_oracle.Exec.run} over random optimized plan
      DAGs — answers, step lists, costs, cache hit/miss protocol — and
      a compiled plan reused across deltas against fresh full runs
      (the PR-9 incremental-equals-full property, on columnar). *)
@@ -21,6 +21,7 @@ module Prng = Fusion_stats.Prng
 module Query = Fusion_query.Query
 module Delta = Fusion_delta.Delta
 module Maintained = Fusion_delta.Maintained
+module Relation_ref = Fusion_oracle.Relation_ref
 
 (* --- columnar Relation ≡ Relation_ref ------------------------------------ *)
 
@@ -231,7 +232,7 @@ let same_result (a : Exec.result) (b : Exec.result) =
 
 let run_interp instance plan ?cache () =
   Array.iter Source.reset_meter instance.Workload.sources;
-  Exec.run ?cache ~sources:instance.Workload.sources
+  Fusion_oracle.Exec.run ?cache ~sources:instance.Workload.sources
     ~conds:(Query.conditions instance.Workload.query)
     plan
 
@@ -285,8 +286,9 @@ let compiled_cache_protocol =
 
 (* --- compiled plan reused across deltas ---------------------------------- *)
 
-(* The serving layer keeps one compiled plan per cached query and reruns
-   it as sources mutate: compiled scans must track the data. After each
+(* A compiled plan may be rerun while its sources mutate (a standing
+   program, or a session replaying one): compiled scans must track the
+   data. After each
    random insert/delete batch, rerunning the *same* compiled plan must
    equal a fresh interpreted run, and the maintained incremental answer
    must equal both (incremental ≡ full, on the columnar plane). *)

@@ -14,6 +14,7 @@ module Delta = Fusion_delta.Delta
 module Change = Fusion_delta.Change
 module Maintained = Fusion_delta.Maintained
 module Serve = Fusion_serve.Server
+module Item_set_ref = Fusion_oracle.Item_set_ref
 module Mediator = Fusion_mediator.Mediator
 module Answer_cache = Fusion_plan.Answer_cache
 module Metrics = Fusion_obs.Metrics

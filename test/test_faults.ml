@@ -26,7 +26,7 @@ let sja_plan instance =
 
 let run ?(retries = 0) ?(on_exhausted = `Fail) (instance : Workload.instance) plan =
   Array.iter Source.reset_meter instance.Workload.sources;
-  Exec.run
+  Fusion_oracle.Exec.run
     ~policy:{ Exec.retries; on_exhausted }
     ~sources:instance.Workload.sources
     ~conds:(Fusion_query.Query.conditions instance.Workload.query)

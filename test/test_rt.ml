@@ -2,7 +2,7 @@
    ordering, cancellation, timeouts, the no-leaked-fibres switch
    invariant), the per-lane domain pool, and oracle equivalence of the
    domains backend against the simulator (answers and model costs must
-   match [Exec.run]/[Exec_async.run]; only the clock differs). *)
+   match [Fusion_oracle.Exec.run]/[Exec_async.run]; only the clock differs). *)
 
 open Fusion_rt
 module Workload = Fusion_workload.Workload
@@ -178,6 +178,58 @@ let test_deadlock_detection () =
            ignore (Fiber.Promise.await p));
        false
      with Fiber.Deadlock -> true)
+
+(* Off-domain completions racing the scheduler's idle check. A helper
+   domain resolves each suspension after a short random spin, so the
+   resolver keeps landing while the scheduler is between draining its
+   wake queue and deciding whether anything can still wake a fibre.
+   A completion that is counted as delivered before its fibre is
+   published makes that decision see "nothing outstanding" and raise
+   [Deadlock]; every round must instead resume its fibre. *)
+let test_offdomain_completion_stress () =
+  let fibres = 1 and rounds = 10_000 in
+  let handoff : ((unit, exn) result -> unit) list Atomic.t = Atomic.make [] in
+  let rec push resume =
+    let old = Atomic.get handoff in
+    if not (Atomic.compare_and_set handoff old (resume :: old)) then push resume
+  in
+  let stop = Atomic.make false in
+  let helper =
+    Domain.spawn (fun () ->
+        let prng = Random.State.make [| 17 |] in
+        while not (Atomic.get stop) do
+          match Atomic.exchange handoff [] with
+          | [] -> Domain.cpu_relax ()
+          | resumes ->
+            List.iter
+              (fun resume ->
+                for _ = 1 to Random.State.int prng 8 do
+                  Domain.cpu_relax ()
+                done;
+                resume (Ok ()))
+              resumes
+        done)
+  in
+  let resumed =
+    Fun.protect
+      ~finally:(fun () ->
+        Atomic.set stop true;
+        Domain.join helper)
+      (fun () ->
+        Fiber.run (fun () ->
+            let resumed = ref 0 in
+            Fiber.Switch.run (fun sw ->
+                for _ = 1 to fibres do
+                  Fiber.Switch.fork sw (fun () ->
+                      for _ = 1 to rounds do
+                        Fiber.suspend_external push;
+                        incr resumed
+                      done)
+                done);
+            !resumed))
+  in
+  Alcotest.(check int) "every off-domain completion resumed its fibre"
+    (fibres * rounds) resumed
 
 (* --- domain pool ---------------------------------------------------------- *)
 
@@ -415,7 +467,7 @@ let domains_oracle_agreement (spec, k) =
   let inst = Workload.generate spec in
   let algo = List.nth Optimizer.all k in
   let plan, conds = plan_of inst algo in
-  let seq = Exec.run ~sources:inst.Workload.sources ~conds plan in
+  let seq = Fusion_oracle.Exec.run ~sources:inst.Workload.sources ~conds plan in
   Array.iter Fusion_source.Source.reset_meter inst.Workload.sources;
   let rt = Runtime.domains ~domains:2 ~servers:(Array.length inst.Workload.sources) () in
   let dom =
@@ -444,6 +496,8 @@ let suite =
     Alcotest.test_case "fiber: semaphore" `Quick test_semaphore_mutual_exclusion;
     Alcotest.test_case "fiber: stream backpressure" `Quick test_stream_fifo;
     Alcotest.test_case "fiber: deadlock detection" `Quick test_deadlock_detection;
+    Alcotest.test_case "fiber: off-domain completion stress" `Quick
+      test_offdomain_completion_stress;
     Alcotest.test_case "fiber: scheduler stats" `Quick test_fiber_stats;
     Alcotest.test_case "fiber: poll accounting" `Quick test_fiber_poll_accounting;
     Alcotest.test_case "fiber: stream high water" `Quick test_stream_high_water;

@@ -442,7 +442,7 @@ let test_serve_on_domains () =
   let instance = Workload.generate { Workload.default_spec with seed = 5 } in
   let env, optimized = optimize instance in
   let expected =
-    Fusion_plan.Exec.run ~sources:instance.Workload.sources
+    Fusion_oracle.Exec.run ~sources:instance.Workload.sources
       ~conds:env.Opt_env.conds optimized.Optimized.plan
   in
   Array.iter Source.reset_meter instance.Workload.sources;
@@ -473,6 +473,186 @@ let test_serve_on_domains () =
               (Item_set.equal expected.Fusion_plan.Exec.answer a)
           | None -> Alcotest.fail "query failed on the domains runtime")
         completions)
+
+(* --- every operator through the serving stack ---------------------------- *)
+
+(* A plan using every operator the compiled program has: the sources
+   picked by [mask] are loaded once and filtered locally (lq, lsq); the
+   others are queried by selection in the first round and, where the
+   source can answer them, by semijoin against the previous round
+   afterwards. Each round unions its per-source sets and intersects the
+   result with the previous round. *)
+let mixed_plan (instance : Workload.instance) mask =
+  let module Op = Fusion_plan.Op in
+  let sources = instance.Workload.sources in
+  let m = Array.length (Fusion_query.Query.conditions instance.Workload.query) in
+  let capability j = Source.capability sources.(j) in
+  let loaded j =
+    mask land (1 lsl j) <> 0 && (capability j).Fusion_source.Capability.load
+  in
+  let var i j = Printf.sprintf "X%d_%d" i j and round i = Printf.sprintf "X%d" i in
+  let loads =
+    List.filter_map
+      (fun j ->
+        if loaded j then Some (Op.Load { dst = Printf.sprintf "L%d" j; source = j })
+        else None)
+      (List.init (Array.length sources) Fun.id)
+  in
+  let round_ops i =
+    let per_source =
+      List.init (Array.length sources) (fun j ->
+          let c = capability j in
+          if loaded j then
+            Op.Local_select { dst = var i j; cond = i; input = Printf.sprintf "L%d" j }
+          else if
+            i > 0
+            && (c.Fusion_source.Capability.native_semijoin
+               || c.Fusion_source.Capability.point_select)
+          then Op.Semijoin { dst = var i j; cond = i; source = j; input = round (i - 1) }
+          else Op.Select { dst = var i j; cond = i; source = j })
+    in
+    let union = Op.Union { dst = round i ^ "u"; args = List.map Op.dst per_source } in
+    let close =
+      if i = 0 then Op.Union { dst = round i; args = [ round i ^ "u" ] }
+      else Op.Inter { dst = round i; args = [ round (i - 1); round i ^ "u" ] }
+    in
+    per_source @ [ union; close ]
+  in
+  Fusion_plan.Plan.create
+    ~ops:(loads @ List.concat_map round_ops (List.init m Fun.id))
+    ~output:(round (m - 1))
+
+let plain_job instance plan =
+  {
+    Serve.plan;
+    conds = Fusion_query.Query.conditions instance.Workload.query;
+    tenant = "t1";
+    priority = 0;
+    est_cost = 1.0;
+    deadline = None;
+    label = "";
+  }
+
+let mixed_gen = QCheck2.Gen.(pair Helpers.spec_gen (int_bound 63))
+
+let mixed_print (spec, mask) = Printf.sprintf "mask=%d %s" mask (Helpers.spec_print spec)
+
+(* One lone job through the serving stack on the simulator must match
+   the interpreter on a fresh world from the same spec: answer, per-step
+   operations, costs and sizes. *)
+let mixed_plans_prop =
+  Helpers.qtest ~count:40 "served lq/lsq/sq/sjq plans = interpreter" mixed_gen
+    mixed_print (fun (spec, mask) ->
+      let oracle_world = Workload.generate spec in
+      let plan = mixed_plan oracle_world mask in
+      let reference =
+        Fusion_oracle.Exec.run ~sources:oracle_world.Workload.sources
+          ~conds:(Fusion_query.Query.conditions oracle_world.Workload.query)
+          plan
+      in
+      let served = Workload.generate spec in
+      let srv = Serve.create ~policy:Serve.Fifo served.Workload.sources in
+      ignore (Serve.submit srv ~at:0.0 (plain_job served (mixed_plan served mask)));
+      Serve.drain srv;
+      match Serve.completions srv with
+      | [ c ] ->
+        let steps = Exec_async.to_exec_steps c.Serve.c_steps in
+        Serve.conservation_ok (Serve.stats srv)
+        && c.Serve.c_failed = None
+        && Item_set.equal reference.Fusion_plan.Exec.answer (Option.get c.Serve.c_answer)
+        && Float.abs (reference.Fusion_plan.Exec.total_cost -. c.Serve.c_cost) < 1e-6
+        && List.length steps = List.length reference.Fusion_plan.Exec.steps
+        && List.for_all2
+             (fun (a : Fusion_plan.Exec.step) (b : Fusion_plan.Exec.step) ->
+               a.Fusion_plan.Exec.op = b.Fusion_plan.Exec.op
+               && a.Fusion_plan.Exec.result_size = b.Fusion_plan.Exec.result_size
+               && Float.abs (a.Fusion_plan.Exec.cost -. b.Fusion_plan.Exec.cost) < 1e-6)
+             reference.Fusion_plan.Exec.steps steps
+      | cs -> QCheck2.Test.fail_reportf "expected 1 completion, got %d" (List.length cs))
+
+(* The same mixed plans pumped through worker domains: every job
+   completes with the interpreter's answer. *)
+let test_mixed_plans_on_domains () =
+  let module Runtime = Fusion_rt.Runtime in
+  List.iter
+    (fun (seed, mask) ->
+      let spec = { Workload.default_spec with seed; n_sources = 4 } in
+      let oracle_world = Workload.generate spec in
+      let expected =
+        Fusion_oracle.Exec.run ~sources:oracle_world.Workload.sources
+          ~conds:(Fusion_query.Query.conditions oracle_world.Workload.query)
+          (mixed_plan oracle_world mask)
+      in
+      let served = Workload.generate spec in
+      let plan = mixed_plan served mask in
+      let rt = Runtime.domains ~domains:2 ~servers:(Array.length served.Workload.sources) () in
+      Fun.protect
+        ~finally:(fun () -> Runtime.shutdown rt)
+        (fun () ->
+          let srv = Serve.create ~policy:Serve.Fifo ~rt served.Workload.sources in
+          for i = 0 to 2 do
+            ignore (Serve.submit srv ~at:(float_of_int i) (plain_job served plan))
+          done;
+          Serve.drain srv;
+          let s = Serve.stats srv in
+          Alcotest.(check int) "all complete" 3 s.Serve.completed;
+          Alcotest.(check bool) "conserves" true (Serve.conservation_ok s);
+          List.iter
+            (fun (c : Serve.completion) ->
+              match c.Serve.c_answer with
+              | Some a ->
+                Alcotest.(check bool) "answer matches the interpreter" true
+                  (Item_set.equal expected.Fusion_plan.Exec.answer a)
+              | None -> Alcotest.fail "mixed plan failed on the domains runtime")
+            (Serve.completions srv)))
+    [ (7, 0b0101); (8, 0b1111); (9, 0b0010) ]
+
+(* --- admission of a plan that does not compile ---------------------------- *)
+
+(* Admission compiles each job once. A plan that fails validation (here
+   an out-of-range condition index) completes at once as failed, with
+   the validation message, without touching a source — while a valid
+   job beside it still runs — on both runtimes. *)
+let test_admission_rejects_invalid_plan () =
+  let module Runtime = Fusion_rt.Runtime in
+  let check_runtime name make_rt =
+    let instance = Workload.generate { Workload.default_spec with seed = 12 } in
+    let env, optimized = optimize instance in
+    let bad =
+      Fusion_plan.Plan.create
+        ~ops:[ Fusion_plan.Op.Select { dst = "X"; cond = 99; source = 0 } ]
+        ~output:"X"
+    in
+    let rt = make_rt (Array.length instance.Workload.sources) in
+    Fun.protect
+      ~finally:(fun () -> Option.iter Runtime.shutdown rt)
+      (fun () ->
+        let srv = Serve.create ~policy:Serve.Fifo ?rt instance.Workload.sources in
+        let bad_id = Serve.submit srv ~at:0.0 { (job_of env optimized) with Serve.plan = bad } in
+        let good_id = Serve.submit srv ~at:1.0 (job_of env optimized) in
+        (match Serve.drain srv with
+        | () -> ()
+        | exception e ->
+          Alcotest.failf "%s: drain raised %s" name (Printexc.to_string e));
+        let s = Serve.stats srv in
+        Alcotest.(check bool) (name ^ ": conserves") true (Serve.conservation_ok s);
+        Alcotest.(check int) (name ^ ": both complete") 2 s.Serve.completed;
+        let completion id =
+          List.find (fun (c : Serve.completion) -> c.Serve.c_id = id) (Serve.completions srv)
+        in
+        let b = completion bad_id in
+        Alcotest.(check (option string))
+          (name ^ ": failed with the validation message")
+          (Some "condition index 99 out of range") b.Serve.c_failed;
+        Alcotest.(check bool) (name ^ ": no answer") true (b.Serve.c_answer = None);
+        Alcotest.(check (float 0.0)) (name ^ ": nothing charged") 0.0 b.Serve.c_cost;
+        Alcotest.(check int) (name ^ ": no steps") 0 (List.length b.Serve.c_steps);
+        let g = completion good_id in
+        Alcotest.(check bool) (name ^ ": the valid job answers") true
+          (g.Serve.c_failed = None && g.Serve.c_answer <> None))
+  in
+  check_runtime "sim" (fun _ -> None);
+  check_runtime "domains:2" (fun servers -> Some (Runtime.domains ~domains:2 ~servers ()))
 
 let test_drivers () =
   let instance = Workload.generate { Workload.default_spec with seed = 3 } in
@@ -520,4 +700,9 @@ let suite =
     Alcotest.test_case "publish metrics" `Quick test_publish_metrics;
     Alcotest.test_case "open and closed loop drivers" `Quick test_drivers;
     Alcotest.test_case "serving on the domains runtime" `Quick test_serve_on_domains;
+    mixed_plans_prop;
+    Alcotest.test_case "mixed plans on the domains runtime" `Quick
+      test_mixed_plans_on_domains;
+    Alcotest.test_case "admission fails a plan that does not compile" `Quick
+      test_admission_rejects_invalid_plan;
   ]

@@ -78,7 +78,7 @@ let test_cache_serves_semijoins () =
   let warm =
     Plan.create ~ops:[ Op.Select { dst = "X"; cond = 1; source = 0 } ] ~output:"X"
   in
-  ignore (Exec.run ~cache ~sources ~conds warm);
+  ignore (Fusion_oracle.Exec.run ~cache ~sources ~conds warm);
   let probe_plan =
     Plan.create
       ~ops:
@@ -88,14 +88,14 @@ let test_cache_serves_semijoins () =
         ]
       ~output:"Z"
   in
-  let result = Exec.run ~cache ~sources ~conds probe_plan in
+  let result = Fusion_oracle.Exec.run ~cache ~sources ~conds probe_plan in
   let semijoin_step =
     List.find (fun s -> match s.Exec.op with Op.Semijoin _ -> true | _ -> false)
       result.Exec.steps
   in
   Alcotest.(check (float 0.001)) "semijoin free" 0.0 semijoin_step.Exec.cost;
   (* Same answer as uncached execution. *)
-  let uncached = Exec.run ~sources ~conds probe_plan in
+  let uncached = Fusion_oracle.Exec.run ~sources ~conds probe_plan in
   Alcotest.check Helpers.item_set "same answer" uncached.Exec.answer result.Exec.answer
 
 let qcheck_cache_transparent =
